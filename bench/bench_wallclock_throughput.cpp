@@ -281,6 +281,10 @@ int main(int argc, char** argv) {
   }
   json << "  ]\n}\n";
   json.close();
+  if (!json) {
+    std::fprintf(stderr, "error: could not write %s\n", output.c_str());
+    return 1;
+  }
   std::printf("\nwrote %s\n", output.c_str());
   return 0;
 }

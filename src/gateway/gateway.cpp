@@ -21,19 +21,12 @@
 #include "s60/s60_platform.h"
 #include "sim/geo_track.h"
 #include "support/logging.h"
+#include "support/seed.h"
 #include "support/trace.h"
 
 namespace mobivine::gateway {
 
 namespace {
-
-/// Finalizing mix so nearby client ids still spread across shards.
-[[nodiscard]] std::uint64_t Mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
 
 /// Errors worth re-executing: the underlying condition (lost packet,
 /// radio glitch, failed GPS fix) is sampled fresh on every attempt.
@@ -916,7 +909,10 @@ Gateway::Gateway(GatewayConfig config)
 Gateway::~Gateway() { Stop(); }
 
 std::uint32_t Gateway::ShardFor(std::uint64_t client_id) const {
-  return static_cast<std::uint32_t>(Mix64(client_id) % shards_.size());
+  // The SplitMix64 finalizer, so nearby client ids still spread across
+  // shards.
+  return static_cast<std::uint32_t>(support::Mix64(client_id) %
+                                    shards_.size());
 }
 
 PushFeed& Gateway::FeedForShard(std::uint32_t shard) {

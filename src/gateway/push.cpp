@@ -33,7 +33,7 @@ std::uint64_t PushFeed::Publish(PushTopic topic, std::uint64_t client_id,
   event.topic = topic;
   event.cursor = next_cursor_++;
   event.client_id = client_id;
-  event.body = std::move(body);
+  event.body = std::make_shared<const std::string>(std::move(body));
   support::trace::Instant("push.publish", "topic",
                           static_cast<std::int64_t>(topic), "cursor",
                           static_cast<std::int64_t>(event.cursor));

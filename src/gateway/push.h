@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -48,12 +49,18 @@ enum class PushTopic : std::uint8_t {
 
 [[nodiscard]] const char* ToString(PushTopic topic);
 
+/// An event body as the feed keeps it: immutable and reference-counted.
+/// Publish stores it once; the replay ring, replays and every listener's
+/// queue hold references, so a broadcast to N subscriptions costs N
+/// reference bumps, not N copies.
+using SharedBody = std::shared_ptr<const std::string>;
+
 /// One pushed platform callback as it sits in the feed.
 struct PushEvent {
   PushTopic topic = PushTopic::kAll;
   std::uint64_t cursor = 0;     ///< feed-assigned, monotonic from 1
   std::uint64_t client_id = 0;  ///< origin client; 0 = shard-wide broadcast
-  std::string body;
+  SharedBody body;              ///< never null once published
 };
 
 /// Does an event match a subscription's (topic, client) filter? Topic
@@ -79,9 +86,10 @@ class PushFeed {
   PushFeed(const PushFeed&) = delete;
   PushFeed& operator=(const PushFeed&) = delete;
 
-  /// Append an event: assign the next cursor, retain it in the ring
-  /// (evicting the oldest past capacity) and invoke every listener with
-  /// it. Returns the assigned cursor.
+  /// Append an event: assign the next cursor, store `body` once as a
+  /// SharedBody, retain the event in the ring (evicting the oldest past
+  /// capacity) and invoke every listener with it. Returns the assigned
+  /// cursor.
   std::uint64_t Publish(PushTopic topic, std::uint64_t client_id,
                         std::string body);
 

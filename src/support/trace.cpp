@@ -25,8 +25,9 @@ struct ThreadBuffer {
   std::atomic<std::uint64_t> dropped{0};
   std::size_t reserved = 0;  ///< writer-local; == head except mid-write
   int tid;
-  std::string label;  ///< written at registration / SetCurrentThreadName,
-                      ///< under the registry mutex
+  std::string label;  ///< copied from the thread's label at creation;
+                      ///< rewritten by SetCurrentThreadName, both under
+                      ///< the registry mutex
 };
 
 struct Registry {
@@ -45,8 +46,9 @@ Registry& GlobalRegistry() {
 std::atomic<std::uint64_t> g_epoch{1};
 
 struct ThreadState {
-  std::shared_ptr<ThreadBuffer> buffer;
+  std::shared_ptr<ThreadBuffer> buffer;  ///< created lazily: LocalBuffer()
   std::uint64_t epoch = 0;
+  std::string label;  ///< kept here so it outlives Reset()
   VirtualClockFn virtual_clock = nullptr;
   void* virtual_clock_ctx = nullptr;
 };
@@ -56,14 +58,25 @@ ThreadState& Tls() {
   return state;
 }
 
+/// Does the calling thread hold a buffer registered since the last
+/// Reset()?
+bool HasCurrentBuffer(const ThreadState& state) {
+  return state.buffer &&
+         state.epoch == g_epoch.load(std::memory_order_relaxed);
+}
+
+/// The calling thread's buffer, created (and registered, labelled) on
+/// the thread's first recorded event after start-up or a Reset(), or
+/// when it is named while tracing is on. A thread that only names itself
+/// while tracing is off never commits a buffer.
 ThreadBuffer& LocalBuffer() {
   ThreadState& state = Tls();
-  const std::uint64_t epoch = g_epoch.load(std::memory_order_relaxed);
-  if (!state.buffer || state.epoch != epoch) {
+  if (!HasCurrentBuffer(state)) {
     Registry& registry = GlobalRegistry();
     std::lock_guard<std::mutex> lock(registry.mutex);
     state.buffer =
         std::make_shared<ThreadBuffer>(registry.capacity, registry.next_tid++);
+    state.buffer->label = state.label;
     state.epoch = registry.epoch;
     registry.buffers.push_back(state.buffer);
   }
@@ -183,10 +196,16 @@ void Reset() {
 }
 
 void SetCurrentThreadName(std::string name) {
+  ThreadState& state = Tls();
+  state.label = std::move(name);
+  // Tracing off: allocate nothing; the first recorded event creates the
+  // buffer with this label. Tracing on: register now, so the thread is
+  // labelled in the export even if it records nothing.
+  if (!HasCurrentBuffer(state) && !IsEnabled()) return;
   ThreadBuffer& buffer = LocalBuffer();
   Registry& registry = GlobalRegistry();
   std::lock_guard<std::mutex> lock(registry.mutex);
-  buffer.label = std::move(name);
+  buffer.label = state.label;
 }
 
 void SetThreadVirtualClock(VirtualClockFn fn, void* ctx) {

@@ -17,11 +17,13 @@
 //    No locks anywhere on the publish path.
 //
 // Buffering: each thread owns a bounded event buffer (default 64Ki
-// events). Slots below the published head are immutable, so an exporter
-// can read them without synchronizing with the writer beyond one acquire
-// load. When a buffer fills, new events are counted as dropped rather
-// than overwriting old ones — published slots stay readable, and the
-// drop count is surfaced by the exporter. Buffers outlive their threads
+// events), created on its first recorded event (or when the thread is
+// named while tracing is on). Slots below the
+// published head are immutable, so an exporter can read them without
+// synchronizing with the writer beyond one acquire load. When a buffer
+// fills, new events are counted as dropped rather than overwriting old
+// ones — published slots stay readable, and the drop count is surfaced
+// by the exporter. Buffers outlive their threads
 // (a joined shard worker's spans still export).
 //
 // Timestamps come in pairs: wall time from std::chrono::steady_clock and,
@@ -89,7 +91,11 @@ void SetPerThreadCapacity(std::size_t events);
 /// events are discarded); call only while traced threads are quiescent.
 void Reset();
 
-/// Label the calling thread in exported traces (e.g. "shard-0").
+/// Label the calling thread in exported traces (e.g. "shard-0"). The
+/// label is kept thread-locally and survives Reset(). With tracing off,
+/// naming a thread creates no buffer — that happens on the thread's first
+/// recorded event; with tracing on, the buffer is registered at once so
+/// the label exports even if the thread records nothing.
 void SetCurrentThreadName(std::string name);
 
 /// Per-thread virtual clock source, sampled at span boundaries. Gateway

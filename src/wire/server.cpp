@@ -584,6 +584,18 @@ class WireServer::EventLoop
 
   // ---- M-Push: the server side of the subscription plane ----
 
+  /// One queued kData event (or the kEndOfDrain marker): the frame
+  /// header plus a reference to the feed's shared body (null for the
+  /// marker). The pump encodes straight from that body, so a broadcast
+  /// to N subscriptions never copies it.
+  struct PendingEvent {
+    EventKind kind = EventKind::kData;
+    PushTopic topic = PushTopic::kAll;
+    std::uint64_t cursor = 0;
+    std::uint64_t aux = 0;
+    gateway::SharedBody body;
+  };
+
   /// One live subscription. Shared between this loop (which owns the
   /// id/fd maps and the pump) and its shard feed's listener callback
   /// (publisher threads), which touches only the mutex-guarded queue and
@@ -600,7 +612,7 @@ class WireServer::EventLoop
     std::uint64_t client_filter = 0;
 
     std::mutex mutex;
-    std::deque<WireEvent> pending;
+    std::deque<PendingEvent> pending;
     bool gap = false;
     std::uint64_t gap_first = 0;
     std::uint64_t gap_last = 0;
@@ -632,14 +644,10 @@ class WireServer::EventLoop
       support::trace::Instant("push.shed", "sub",
                               static_cast<std::int64_t>(sub.id));
     }
-    WireEvent out;
-    out.subscription_id = sub.id;
-    out.kind = EventKind::kData;
-    out.topic = static_cast<PushTopic>(event.topic);
-    out.cursor = event.cursor;
-    out.aux = event.client_id;
-    out.body = event.body;
-    sub.pending.push_back(std::move(out));
+    sub.pending.push_back(PendingEvent{EventKind::kData,
+                                       static_cast<PushTopic>(event.topic),
+                                       event.cursor, event.client_id,
+                                       event.body});
   }
 
   void HandleSubscribe(const std::shared_ptr<Connection>& conn,
@@ -736,8 +744,7 @@ class WireServer::EventLoop
       std::lock_guard<std::mutex> lock(sub->mutex);
       if (covered.gap) sub->MergeGapLocked(covered.gap_first, covered.gap_last);
       if (req.mode == SubscribeMode::kDrainOnce) {
-        WireEvent end;
-        end.subscription_id = sub->id;
+        PendingEvent end;
         end.kind = EventKind::kEndOfDrain;
         end.cursor = covered.resume_cursor;
         sub->pending.push_back(std::move(end));
@@ -844,7 +851,9 @@ class WireServer::EventLoop
       bool drained_end = false;
       while (!drained_end && conn->pending_output_bytes() <
                                  server_.config_.output_low_watermark) {
-        WireEvent event;
+        WireEvent event;  // header only: the body is encoded from `body`
+        event.subscription_id = sub->id;
+        gateway::SharedBody body;
         bool have = false;
         {
           std::lock_guard<std::mutex> lock(sub->mutex);
@@ -852,7 +861,6 @@ class WireServer::EventLoop
             // The gap marker goes out BEFORE the retained events behind
             // it — its range only ever covers cursors older than
             // anything still pending.
-            event.subscription_id = sub->id;
             event.kind = EventKind::kEventsDropped;
             event.topic = sub->topic;
             event.aux = sub->gap_first;
@@ -860,15 +868,22 @@ class WireServer::EventLoop
             sub->gap = false;
             have = true;
           } else if (!sub->pending.empty()) {
-            event = std::move(sub->pending.front());
+            PendingEvent& next = sub->pending.front();
+            event.kind = next.kind;
+            event.topic = next.topic;
+            event.cursor = next.cursor;
+            event.aux = next.aux;
+            body = std::move(next.body);
             sub->pending.pop_front();
             have = true;
           }
         }
         if (!have) break;
+        const std::string_view body_view =
+            body ? std::string_view(*body) : std::string_view();
         support::PooledBuffer buffer = support::BufferPool::WirePool().Acquire(
-            kResponseOverhead + event.body.size());
-        EncodeEvent(event, event.body, buffer.bytes());
+            kResponseOverhead + body_view.size());
+        EncodeEvent(event, body_view, buffer.bytes());
         if (conn->QueueOutput(std::move(buffer)) == 0) return queued;
         AddU64(server_.stats_->frames_out, 1);
         queued = true;

@@ -29,6 +29,7 @@
 #include "gateway/gateway.h"
 #include "gateway/traffic.h"
 #include "support/fault.h"
+#include "support/seed.h"
 
 namespace mobivine {
 namespace {
@@ -144,6 +145,22 @@ TEST(Gateway, ClientAffinityIsStableAndSpreads) {
     const Response response = gw.Call(HttpGetRequest(client));
     ASSERT_TRUE(response.ok);
     EXPECT_EQ(response.shard, gw.ShardFor(client));
+  }
+}
+
+TEST(Gateway, ShardForIsTheSplitMixFinalizerModuloShards) {
+  // Client affinity is part of the push plane's contract (a cursor names
+  // a position in one shard's feed), so the mapping is pinned, not just
+  // "stable": the SplitMix64 finalizer from support/seed.h, mod shards.
+  EXPECT_EQ(support::Mix64(0), 0xe220a8397b1dcdafull);
+  for (const int shards : {1, 3, 4, 8}) {
+    Gateway gw(BaseConfig(shards));
+    for (const std::uint64_t client :
+         {0ull, 1ull, 2ull, 42ull, 0xdeadbeefull, ~0ull}) {
+      EXPECT_EQ(gw.ShardFor(client),
+                support::Mix64(client) % static_cast<std::uint64_t>(shards))
+          << "client " << client << " over " << shards << " shards";
+    }
   }
 }
 

@@ -34,6 +34,7 @@
 #include <cstdint>
 #include <cstring>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -260,7 +261,7 @@ TEST(PushFeed, PublishAssignsMonotonicCursorsAndNotifiesListeners) {
   ASSERT_EQ(seen.size(), 2u);
   EXPECT_EQ(seen[0].cursor, 1u);
   EXPECT_EQ(seen[1].cursor, 2u);
-  EXPECT_EQ(seen[1].body, "ringing");
+  EXPECT_EQ(*seen[1].body, "ringing");
 
   feed.RemoveListener(id);
   feed.Publish(gateway::PushTopic::kProximity, 5, "far");
@@ -297,6 +298,39 @@ TEST(PushFeed, ReplayReportsEvictedRangeAsGap) {
   EXPECT_EQ(counters.evicted, 3u);
   EXPECT_EQ(counters.replays, 2u);
   EXPECT_EQ(counters.replay_gaps, 1u);
+}
+
+TEST(PushFeed, ListenersReplaysAndRingShareOneBodyPerPublish) {
+  gateway::PushFeed feed(/*replay_capacity=*/3);
+  std::vector<const std::string*> first_seen;
+  std::vector<const std::string*> second_seen;
+  feed.AddListener([&](const gateway::PushEvent& e) {
+    first_seen.push_back(e.body.get());
+  });
+  feed.AddListener([&](const gateway::PushEvent& e) {
+    second_seen.push_back(e.body.get());
+  });
+  for (int i = 0; i < 5; ++i) {
+    feed.Publish(gateway::PushTopic::kProximity, 0, "body-" + std::to_string(i));
+  }
+  ASSERT_EQ(first_seen.size(), 5u);
+  // Every listener sees the same body object, not a copy of it.
+  EXPECT_EQ(first_seen, second_seen);
+
+  // The ring retains 3..5 and hands replays the very objects the
+  // listeners saw; the evicted [1,2] is still a typed gap.
+  std::vector<gateway::SharedBody> replayed;
+  const auto result = feed.ReplayAfter(
+      0, gateway::PushTopic::kAll, 0,
+      [&](const gateway::PushEvent& e) { replayed.push_back(e.body); });
+  EXPECT_TRUE(result.gap);
+  EXPECT_EQ(result.gap_first, 1u);
+  EXPECT_EQ(result.gap_last, 2u);
+  ASSERT_EQ(replayed.size(), 3u);
+  for (std::size_t i = 0; i < replayed.size(); ++i) {
+    EXPECT_EQ(replayed[i].get(), first_seen[2 + i]) << i;
+    EXPECT_EQ(*replayed[i], "body-" + std::to_string(2 + i));
+  }
 }
 
 TEST(PushFeed, AddListenerAndReplayIsExactlyOnceUnderConcurrentPublish) {
@@ -638,6 +672,47 @@ TEST_F(PushServerTest, UnsubscribeStopsDeliveryAndAcks) {
   client.Close();
 }
 
+TEST_F(PushServerTest, BroadcastFansOutOneFramePerSubscriptionWithEqualBodies) {
+  StartAll(BaseConfig(1), {});
+  WireClient client;
+  ASSERT_TRUE(client.Connect(server_->port()));
+  constexpr std::size_t kSubs = 8;
+  std::vector<std::unique_ptr<Subscriber>> subs;
+  for (std::size_t i = 0; i < kSubs; ++i) {
+    WireSubscribe subscribe;
+    subscribe.client_id = 100 + i;
+    subscribe.topic = PushTopic::kNotification;
+    subscribe.mode = SubscribeMode::kLiveOnly;
+    subs.push_back(std::make_unique<Subscriber>());
+    ASSERT_TRUE(
+        client.Subscribe(subscribe, subs[i]->OnEvent(), subs[i]->OnAck()));
+    ASSERT_TRUE(subs[i]->WaitForAck());
+    ASSERT_EQ(subs[i]->acks[0].status, WireStatus::kOk);
+  }
+
+  // One shard-wide broadcast (client 0) reaches all eight subscriptions
+  // on the one connection: eight frames from one stored body.
+  const std::string body(300, 'b');
+  const std::uint64_t cursor = gateway_->FeedForShard(0).Publish(
+      gateway::PushTopic::kNotification, 0, body);
+  std::set<std::uint64_t> ids;
+  for (const auto& sub : subs) {
+    ASSERT_TRUE(sub->WaitForEvents(1));
+    std::lock_guard<std::mutex> lock(sub->mutex);
+    ASSERT_EQ(sub->events.size(), 1u);
+    const WireEvent& event = sub->events[0];
+    EXPECT_EQ(event.kind, EventKind::kData);
+    EXPECT_EQ(event.cursor, cursor);
+    EXPECT_EQ(event.aux, 0u);
+    EXPECT_EQ(event.body, body);
+    EXPECT_EQ(event.subscription_id, sub->acks[0].subscription_id);
+    ids.insert(event.subscription_id);
+  }
+  EXPECT_EQ(ids.size(), kSubs) << "subscription ids must be distinct";
+  EXPECT_EQ(server_->Stats().events_out, kSubs);
+  client.Close();
+}
+
 TEST_F(PushServerTest, ConnectionDeathDeliversSyntheticCursorZeroMarker) {
   StartAll(BaseConfig(1), {});
   auto client = std::make_unique<WireClient>();
@@ -831,6 +906,94 @@ TEST_F(PushServerTest, SlowSubscriberShedsWithGapMarkersNotStalledResponses) {
   const auto stats = server_->Stats();
   EXPECT_GE(stats.events_dropped, 1u);
   EXPECT_GE(stats.gap_markers, 1u);
+  conn.CloseNow();
+}
+
+TEST_F(PushServerTest, FanOutSheddingMergesIntoGapMarkersPerSubscription) {
+  // Two subscriptions on one never-reading connection share every body.
+  // Each sheds on its own into typed gap ranges, and every frame that
+  // does go out carries the body published under its cursor.
+  GatewayConfig gateway_config = BaseConfig(1);
+  gateway_config.push_replay_capacity = 8;
+  WireServerConfig wire_config;
+  wire_config.output_high_watermark = 16 * 1024;
+  wire_config.output_low_watermark = 4 * 1024;
+  wire_config.push_queue_capacity = 4;
+  StartAll(std::move(gateway_config), wire_config);
+
+  RawConn conn;
+  ASSERT_TRUE(conn.Connect(server_->port(), /*rcvbuf=*/4096));
+  FrameView frame;
+  std::vector<std::uint8_t> storage;
+  std::string error;
+  std::set<std::uint64_t> sub_ids;
+  for (std::uint64_t request_id : {1ull, 2ull}) {
+    WireSubscribe subscribe;
+    subscribe.request_id = request_id;
+    subscribe.client_id = 12;
+    subscribe.topic = PushTopic::kAll;
+    std::vector<std::uint8_t> bytes;
+    wire::EncodeSubscribe(subscribe, bytes);
+    ASSERT_TRUE(conn.Send(bytes));
+    ASSERT_TRUE(conn.ReadFrame(&frame, &storage));
+    ASSERT_EQ(frame.type, FrameType::kSubscribeAck);
+    WireSubscribeAck ack;
+    ASSERT_TRUE(wire::DecodeSubscribeAck(frame.payload, frame.payload_size,
+                                         &ack, &error));
+    ASSERT_EQ(ack.status, WireStatus::kOk);
+    sub_ids.insert(ack.subscription_id);
+  }
+  ASSERT_EQ(sub_ids.size(), 2u);
+
+  const int kEvents = 128;
+  std::map<std::uint64_t, std::string> published;  // cursor -> body
+  for (int i = 0; i < kEvents; ++i) {
+    std::string body(32 * 1024, static_cast<char>('a' + i % 26));
+    body += "#" + std::to_string(i);
+    const std::uint64_t cursor =
+        gateway_->PublishEvent(12, gateway::PushTopic::kProximity, body);
+    published.emplace(cursor, std::move(body));
+  }
+
+  std::map<std::uint64_t, std::set<std::uint64_t>> delivered;
+  std::map<std::uint64_t, std::vector<std::pair<std::uint64_t, std::uint64_t>>>
+      gaps;
+  std::map<std::uint64_t, std::uint64_t> accounted;
+  const auto done = [&] {
+    for (const std::uint64_t id : sub_ids) {
+      if (accounted[id] < static_cast<std::uint64_t>(kEvents)) return false;
+    }
+    return true;
+  };
+  while (!done()) {
+    ASSERT_TRUE(conn.ReadFrame(&frame, &storage));
+    ASSERT_EQ(frame.type, FrameType::kEvent);
+    WireEvent event;
+    ASSERT_TRUE(
+        wire::DecodeEvent(frame.payload, frame.payload_size, &event, &error));
+    ASSERT_EQ(sub_ids.count(event.subscription_id), 1u);
+    if (event.kind == EventKind::kData) {
+      EXPECT_TRUE(delivered[event.subscription_id].insert(event.cursor).second);
+      ASSERT_EQ(published.count(event.cursor), 1u);
+      EXPECT_EQ(event.body, published[event.cursor]) << event.cursor;
+      ++accounted[event.subscription_id];
+    } else {
+      ASSERT_EQ(event.kind, EventKind::kEventsDropped);
+      ASSERT_GE(event.cursor, event.aux);
+      gaps[event.subscription_id].emplace_back(event.aux, event.cursor);
+      accounted[event.subscription_id] += event.cursor - event.aux + 1;
+    }
+  }
+  for (const std::uint64_t id : sub_ids) {
+    ASSERT_FALSE(gaps[id].empty()) << "subscription " << id << " never shed";
+    for (const auto& [first, last] : gaps[id]) {
+      for (std::uint64_t c = first; c <= last; ++c) {
+        EXPECT_EQ(delivered[id].count(c), 0u)
+            << "cursor " << c << " both delivered and gap-covered";
+      }
+    }
+    EXPECT_EQ(accounted[id], static_cast<std::uint64_t>(kEvents));
+  }
   conn.CloseNow();
 }
 

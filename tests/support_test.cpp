@@ -305,6 +305,57 @@ TEST(Checksum, DetectsEverySingleBitFlipInShortPayload) {
   }
 }
 
+/// Bit-at-a-time CRC32 straight from the polynomial: no tables, no
+/// slicing, so it shares nothing with the kernel under test.
+std::uint32_t ReferenceCrc32(const std::uint8_t* data, std::size_t size,
+                             std::uint32_t seed = 0) {
+  std::uint32_t crc = ~seed;
+  for (std::size_t i = 0; i < size; ++i) {
+    crc ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1u) ? 0xEDB88320u : 0u);
+    }
+  }
+  return ~crc;
+}
+
+std::vector<std::uint8_t> RandomBytes(std::size_t size, std::uint64_t seed) {
+  SplitMix64 rng(seed);
+  std::vector<std::uint8_t> bytes(size);
+  for (std::uint8_t& b : bytes) b = static_cast<std::uint8_t>(rng.Next());
+  return bytes;
+}
+
+TEST(Checksum, MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
+  // Every 8-byte block boundary and tail length, at every start offset
+  // modulo 8, so misaligned loads and the byte tail are both covered.
+  const std::vector<std::uint8_t> bytes = RandomBytes(1100 + 8, 0xc4c32ull);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    const std::uint8_t* data = bytes.data() + offset;
+    for (std::size_t len = 0; len <= 1100; ++len) {
+      ASSERT_EQ(Crc32(data, len), ReferenceCrc32(data, len))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
+TEST(Checksum, ChainedSeedsMatchReferenceAcrossBlockSplits) {
+  const std::vector<std::uint8_t> bytes = RandomBytes(300, 0x5eedull);
+  const std::uint32_t whole = ReferenceCrc32(bytes.data(), bytes.size());
+  for (std::size_t split = 0; split <= bytes.size(); ++split) {
+    const std::uint32_t first = Crc32(bytes.data(), split);
+    ASSERT_EQ(first, ReferenceCrc32(bytes.data(), split)) << split;
+    ASSERT_EQ(Crc32(bytes.data() + split, bytes.size() - split, first), whole)
+        << split;
+  }
+  // A non-zero seed on its own, not only as a chained prefix.
+  for (std::size_t len : {0u, 1u, 7u, 8u, 9u, 64u, 299u}) {
+    EXPECT_EQ(Crc32(bytes.data(), len, 0xdeadbeefu),
+              ReferenceCrc32(bytes.data(), len, 0xdeadbeefu))
+        << len;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // HDR histogram (support/histogram.h) — extracted from the gateway so the
 // wire client's latency shares its buckets; the bound tests moved here.

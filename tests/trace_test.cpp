@@ -157,6 +157,45 @@ TEST_F(TraceTest, ResetDiscardsRecordedEvents) {
   EXPECT_EQ(json.find("before-reset"), std::string::npos);
 }
 
+TEST_F(TraceTest, ThreadLabelSurvivesReset) {
+  // Regression: the label used to live only in the thread's buffer, so a
+  // Reset() (which detaches every buffer) silently dropped it.
+  std::thread worker([] {
+    trace::SetCurrentThreadName("worker-x");
+    trace::Reset();
+    trace::SetEnabled(true);
+    trace::Span span("after-reset");
+  });
+  worker.join();
+  const std::string json = Export();
+  EXPECT_NE(json.find("\"name\":\"after-reset\""), std::string::npos);
+  EXPECT_NE(json.find("\"worker-x\""), std::string::npos);
+}
+
+TEST_F(TraceTest, NamingAThreadWithTracingOffRegistersNoBuffer) {
+  // A named thread that records nothing commits no buffer: each buffer
+  // is capacity x sizeof(EventRecord) (about 5 MB at the default).
+  std::thread worker([] {
+    trace::SetCurrentThreadName("idle-worker");
+    trace::Span span("not-recorded");
+  });
+  worker.join();
+  trace::ExportStats stats;
+  const std::string json = Export(&stats);
+  EXPECT_EQ(stats.threads, 0u);
+  EXPECT_EQ(json.find("idle-worker"), std::string::npos);
+
+  // With tracing on, naming registers the labelled buffer at once, so a
+  // thread that records nothing still exports its label.
+  trace::SetEnabled(true);
+  std::thread named([] { trace::SetCurrentThreadName("named-while-on"); });
+  named.join();
+  const std::string traced = Export(&stats);
+  EXPECT_EQ(stats.threads, 1u);
+  EXPECT_EQ(stats.events, 0u);
+  EXPECT_NE(traced.find("\"named-while-on\""), std::string::npos);
+}
+
 std::uint64_t FakeVirtualClock(void* ctx) {
   return *static_cast<std::uint64_t*>(ctx);
 }

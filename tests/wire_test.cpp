@@ -254,6 +254,61 @@ TEST(WireProtocol, CrcMismatchIsMalformed) {
   EXPECT_NE(error.find("crc"), std::string::npos) << error;
 }
 
+TEST(WireProtocol, EventFramesRoundTripAcrossCrcBlockBoundaries) {
+  // Body sizes on both sides of every 8-byte boundary the CRC kernel
+  // steps by, plus one body at the per-field cap. The trailer is checked
+  // against a table-free CRC so encoder and decoder cannot agree on a
+  // wrong value.
+  const auto bitwise_crc = [](const std::uint8_t* data, std::size_t size) {
+    std::uint32_t crc = ~0u;
+    for (std::size_t i = 0; i < size; ++i) {
+      crc ^= data[i];
+      for (int bit = 0; bit < 8; ++bit) {
+        crc = (crc >> 1) ^ ((crc & 1u) ? 0xEDB88320u : 0u);
+      }
+    }
+    return ~crc;
+  };
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 0; n <= 136; ++n) sizes.push_back(n);
+  for (std::size_t n : {1023u, 1024u, 1025u}) sizes.push_back(n);
+  sizes.push_back(wire::kMaxStringBytes);
+  for (const std::size_t size : sizes) {
+    wire::WireEvent event;
+    event.subscription_id = 3;
+    event.kind = wire::EventKind::kData;
+    event.topic = wire::PushTopic::kNotification;
+    event.cursor = 1000 + size;
+    event.aux = 7;
+    event.body.resize(size);
+    for (std::size_t i = 0; i < size; ++i) {
+      event.body[i] = static_cast<char>('a' + (i * 7 + size) % 26);
+    }
+    std::vector<std::uint8_t> bytes;
+    wire::EncodeEvent(event, bytes);
+    FrameView frame;
+    std::size_t consumed = 0;
+    std::string error;
+    ASSERT_EQ(
+        DecodeFrame(bytes.data(), bytes.size(), &frame, &consumed, &error),
+        DecodeStatus::kOk)
+        << size << ": " << error;
+    ASSERT_EQ(consumed, bytes.size()) << size;
+    const std::uint32_t crc = bitwise_crc(frame.payload, frame.payload_size);
+    for (int i = 0; i < 4; ++i) {
+      ASSERT_EQ(bytes[bytes.size() - 4 + i],
+                static_cast<std::uint8_t>(crc >> (8 * i)))
+          << size;
+    }
+    wire::WireEvent decoded;
+    ASSERT_TRUE(wire::DecodeEvent(frame.payload, frame.payload_size, &decoded,
+                                  &error))
+        << size << ": " << error;
+    EXPECT_EQ(decoded.cursor, event.cursor);
+    ASSERT_EQ(decoded.body, event.body) << size;
+  }
+}
+
 TEST(WireProtocol, BadMagicAndVersionAreMalformed) {
   std::vector<std::uint8_t> good;
   EncodeRequest(HttpGet(5), good);
